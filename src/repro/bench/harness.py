@@ -36,6 +36,7 @@ from repro.gpu.timing import (
     estimate_gpu_time,
 )
 from repro.kernels.base import KernelResult
+from repro.kernels.batched import clear_pricing_cache
 from repro.kernels.dispatch import make_kernel
 from repro.kernels.plan import clear_plan_cache
 from repro.obs import artifact, metrics
@@ -203,11 +204,12 @@ _HALF_CACHE: LRUCache[Tuple[str, str, str], CSRMatrix] = LRUCache(
 
 
 def clear_caches() -> None:
-    """Drop the harness's per-process matrix and plan caches (tests use
-    this)."""
+    """Drop the harness's per-process matrix, plan and pricing caches
+    (tests use this)."""
     _RSCF_CACHE.clear()
     _HALF_CACHE.clear()
     clear_plan_cache()
+    clear_pricing_cache()
 
 
 def convert_for_kernel(master: CSRMatrix, kernel_name: str):

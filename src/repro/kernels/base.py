@@ -94,12 +94,26 @@ class KernelResult:
         return self.counters.operational_intensity
 
 
+def book_launch(flops: float, dram_bytes: float, modeled_time_s: float) -> None:
+    """Count one modelled launch with its work in the process metrics.
+
+    These counters are always on (they feed the CLI metrics summary and
+    the run manifest): every :meth:`SpMVKernel.run` books its launch
+    here, and so does every SpMM batch of
+    :func:`repro.kernels.batched.run_multi_spmv`, which prices a whole
+    batch as one launch.
+    """
+    metrics.counter("kernel.launches").inc()
+    metrics.counter("kernel.flops_modeled").inc(flops)
+    metrics.counter("kernel.bytes_modeled").inc(dram_bytes)
+    metrics.histogram("kernel.modeled_time_s").observe(modeled_time_s)
+
+
 def _instrumented_run(run):
     """Wrap a kernel ``run`` with one span + launch/work metrics.
 
-    The span is a no-op unless tracing is enabled; the three counter
-    increments are always on (they feed the CLI metrics summary and the
-    run manifest).
+    The span is a no-op unless tracing is enabled; the launch is booked
+    through :func:`book_launch`.
     """
 
     @functools.wraps(run)
@@ -113,13 +127,10 @@ def _instrumented_run(run):
             nnz=getattr(matrix, "nnz", None),
         ) as sp:
             result = run(self, matrix, x, *args, **kwargs)
-            metrics.counter("kernel.launches").inc()
-            metrics.counter("kernel.flops_modeled").inc(result.counters.flops)
-            metrics.counter("kernel.bytes_modeled").inc(
-                result.counters.dram_bytes
-            )
-            metrics.histogram("kernel.modeled_time_s").observe(
-                result.timing.time_s
+            book_launch(
+                result.counters.flops,
+                result.counters.dram_bytes,
+                result.timing.time_s,
             )
             sp.set_attrs(
                 device=result.device.name,
@@ -171,6 +182,16 @@ class SpMVKernel(abc.ABC):
         ``rng`` only affects kernels with nondeterministic reduction order
         (the atomics baseline); deterministic kernels ignore it.
         """
+
+    def evaluate(self, matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
+        """The functional half of :meth:`run` alone: ``A @ x`` as float64.
+
+        Bitwise equal to ``run(matrix, x).y``.  Kernels whose arithmetic
+        stands apart from their accounting override this to skip the
+        counters, so a bitwise audit pays for the arithmetic only; the
+        default runs the whole kernel.
+        """
+        return self.run(matrix, x).y
 
     def model_timing(
         self,

@@ -15,17 +15,26 @@ about — "a significant speedup in optimization times and time-to-treatment".
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.executor import attach_launch_counts
 from repro.gpu.timing import KERNEL_LAUNCH_OVERHEAD_S, estimate_gpu_time
-from repro.kernels.base import KernelResult, SpMVKernel
-from repro.kernels.plan import SpMVPlan, execute_plan_multi
+from repro.kernels.base import KernelResult, SpMVKernel, book_launch
+from repro.kernels.plan import SpMVPlan, execute_plan, execute_plan_multi
+from repro.obs import metrics
+from repro.obs.lockwitness import guarded_lock
 from repro.util.errors import ShapeError
+
+#: entries the process-global pricing cache keeps.  One entry is one
+#: (matrix structure, kernel, device, launch, batch size) and holds a
+#: few hundred bytes, so a few hundred cover every plan a service holds
+#: at every batch size it forms without evicting.
+PRICING_CACHE_CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,9 @@ def spmm_batched_time(
     Rebuilds the timing estimate from :meth:`multi_counters` with the
     first result's launch/traits/profile; at ``batch == 1`` the counters
     are exactly the single-vector counters, so the estimate reproduces
-    ``first.timing.time_s`` bit for bit.
+    ``first.timing.time_s`` bit for bit.  :func:`run_multi_spmv` takes
+    its prices from the :class:`PricingCache`; this from-scratch form
+    is the reference those cached prices are tested against.
     """
     counters = attach_launch_counts(
         kernel.multi_counters(matrix, device, batch),
@@ -172,6 +183,152 @@ def spmm_batched_time(
     return timing.time_s
 
 
+@dataclass(frozen=True)
+class BatchPrice:
+    """The modelled price of one SpMM launch of ``batch`` vectors.
+
+    A pure function of the matrix structure, the kernel, the device,
+    the launch configuration and the batch size — never of the weights
+    — so :class:`PricingCache` computes it once per such key.
+    """
+
+    #: one vector's result with an empty ``y``: the counters and timing
+    #: a stand-alone ``kernel.run`` attaches.
+    per_vector: KernelResult
+    batched_time_s: float
+    unbatched_time_s: float
+    #: modelled flops and DRAM bytes of the whole batch's launch.
+    flops: float
+    dram_bytes: float
+
+    def result(self, y: np.ndarray) -> KernelResult:
+        """:attr:`per_vector` carrying ``y``, with counters (and the
+        timing that references them) of its own, so a caller mutating
+        one result cannot change another or a later batch's."""
+        counters = self.per_vector.counters.copy()
+        timing = replace(
+            self.per_vector.timing,
+            counters=counters,
+            components=dict(self.per_vector.timing.components),
+        )
+        return replace(self.per_vector, y=y, counters=counters, timing=timing)
+
+
+def price_batch(
+    kernel: SpMVKernel, matrix, batch: int, device: DeviceSpec
+) -> BatchPrice:
+    """Price one SpMM launch of ``batch`` vectors from scratch.
+
+    Kernels with an SpMM traffic model (``multi_counters``) price the
+    batch as one launch streaming the matrix once; the others as
+    back-to-back launches that save only launch overhead.  At
+    ``batch == 1`` both are the single-vector price.
+    """
+    first = kernel.price(matrix, device)
+    single = first.counters
+    unbatched = batch * first.timing.time_s
+    if batch == 1:
+        return BatchPrice(first, first.timing.time_s, unbatched,
+                          single.flops, single.dram_bytes)
+    if hasattr(kernel, "multi_counters"):
+        spmm = kernel.model_timing(matrix, device, batch=batch)
+        return BatchPrice(first, spmm.time_s, unbatched,
+                          spmm.counters.flops, spmm.counters.dram_bytes)
+    return BatchPrice(
+        first,
+        unbatched - (batch - 1) * KERNEL_LAUNCH_OVERHEAD_S,
+        unbatched,
+        batch * single.flops,
+        batch * single.dram_bytes,
+    )
+
+
+class PricingCache:
+    """Thread-safe LRU of :class:`BatchPrice` entries, bounded by
+    :data:`PRICING_CACHE_CAPACITY`.
+
+    The key is the plan's structure digest (shape, dtypes, ``indptr``,
+    ``indices``), the kernel (class, name, precision, traits), the
+    device, the threads per block and the batch size — exactly what the
+    price depends on.  Content, not identity: a re-converted matrix, a
+    recompiled plan or a fresh kernel instance finds the price an
+    earlier one paid for.  Pricing runs outside the lock; two threads
+    missing on one key at once both price it and store equal entries.
+
+    Reports ``pricing.cache.{hit,miss,evictions}`` counters and a
+    ``pricing.cache.size`` gauge.
+    """
+
+    def __init__(self) -> None:
+        self._lock = guarded_lock(  # analyze: lock-guards[_prices]
+            "kernels.batched.PricingCache"
+        )
+        self._prices: "OrderedDict[Tuple[Hashable, ...], BatchPrice]" = (
+            OrderedDict()
+        )
+
+    def get_or_price(
+        self,
+        kernel: SpMVKernel,
+        matrix,
+        plan: SpMVPlan,
+        batch: int,
+        device: DeviceSpec,
+    ) -> BatchPrice:
+        key = (
+            plan.structure,
+            type(kernel),
+            kernel.name,
+            kernel.precision,
+            kernel.traits,
+            device,
+            kernel.default_threads_per_block,
+            batch,
+        )
+        with self._lock:
+            price = self._prices.get(key)
+            if price is not None:
+                self._prices.move_to_end(key)
+        if price is not None:
+            metrics.counter("pricing.cache.hit").inc()
+            return price
+        metrics.counter("pricing.cache.miss").inc()
+        price = price_batch(kernel, matrix, batch, device)
+        evicted = 0
+        with self._lock:
+            self._prices[key] = price
+            self._prices.move_to_end(key)
+            while len(self._prices) > PRICING_CACHE_CAPACITY:
+                self._prices.popitem(last=False)
+                evicted += 1
+            size = len(self._prices)
+        metrics.counter("pricing.cache.evictions").inc(evicted)
+        metrics.gauge("pricing.cache.size").set(size)
+        return price
+
+    def clear(self) -> None:
+        with self._lock:
+            self._prices.clear()
+        metrics.gauge("pricing.cache.size").set(0)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._prices)
+
+
+_PRICING_CACHE = PricingCache()
+
+
+def get_pricing_cache() -> PricingCache:
+    """The process-global pricing cache behind :func:`run_multi_spmv`."""
+    return _PRICING_CACHE
+
+
+def clear_pricing_cache() -> None:
+    """Drop every cached price (tests and the bench harness use this)."""
+    _PRICING_CACHE.clear()
+
+
 def run_multi_spmv(
     kernel: SpMVKernel,
     matrix,
@@ -183,12 +340,16 @@ def run_multi_spmv(
 
     Kernels with a precompiled-plan family take the true SpMM path: the
     plan (passed in, or fetched from the process-global cache) evaluates
-    all vectors per gathered chunk via
-    :func:`repro.kernels.plan.execute_plan_multi`, streaming the matrix
-    once for the whole batch.  Every per-vector dose stays bitwise
+    the batch in one executor call —
+    :func:`repro.kernels.plan.execute_plan` for one vector,
+    :func:`repro.kernels.plan.execute_plan_multi` for more, streaming
+    the matrix once for the whole batch — and the modelled price comes
+    from the process-global :class:`PricingCache`, so a warm batch costs
+    its executor and nothing else.  Every per-vector dose stays bitwise
     identical to a stand-alone evaluation — the fast path changes cost,
-    never results.  Kernels without plan support fall back to
-    back-to-back launches whose batch saves only launch overhead.
+    never results.  The batch is booked as one launch in the kernel
+    metrics.  Kernels without plan support fall back to back-to-back
+    launches whose batch saves only launch overhead.
 
     This is the execution primitive behind the serving layer's request
     coalescing.
@@ -204,34 +365,29 @@ def run_multi_spmv(
                 f"vector has shape {w.shape}"
             )
         arrays.append(w)
-    spmm = plan is not None or hasattr(kernel, "prepare_plan")
-    if spmm:
-        if plan is None:
-            plan = kernel.prepare_plan(matrix)
-        first = kernel.run(matrix, arrays[0], device=device, plan=plan)
-        results = [first]
-        if len(arrays) > 1:
-            doses = execute_plan_multi(plan, arrays)
-            for b in range(1, len(arrays)):
-                results.append(
-                    replace(first, y=doses[:, b].astype(np.float64))
-                )
-        unbatched = len(arrays) * first.timing.time_s
-        if hasattr(kernel, "multi_counters"):
-            batched = spmm_batched_time(
-                kernel, matrix, first, len(arrays), device
-            )
-        else:
-            batched = unbatched - (len(arrays) - 1) * KERNEL_LAUNCH_OVERHEAD_S
-    else:
+    if plan is None and not hasattr(kernel, "prepare_plan"):
         results = [kernel.run(matrix, w, device=device) for w in arrays]
         unbatched = sum(r.timing.time_s for r in results)
-        batched = unbatched - (len(results) - 1) * KERNEL_LAUNCH_OVERHEAD_S
+        return MultiVectorSpMVResult(
+            per_vector=results,
+            batched_time_s=unbatched
+            - (len(results) - 1) * KERNEL_LAUNCH_OVERHEAD_S,
+            unbatched_time_s=unbatched,
+        )
+    plan = kernel.prepare_plan(matrix, plan)
+    price = get_pricing_cache().get_or_price(
+        kernel, matrix, plan, len(arrays), device
+    )
+    if len(arrays) == 1:
+        doses = [execute_plan(plan, arrays[0])]
+    else:
+        doses = list(execute_plan_multi(plan, arrays).T)
+    book_launch(price.flops, price.dram_bytes, price.batched_time_s)
     return MultiVectorSpMVResult(
-        per_vector=results,
-        batched_time_s=batched,
-        unbatched_time_s=unbatched,
-        spmm=spmm,
+        per_vector=[price.result(d.astype(np.float64)) for d in doses],
+        batched_time_s=price.batched_time_s,
+        unbatched_time_s=price.unbatched_time_s,
+        spmm=True,
     )
 
 

@@ -11,6 +11,7 @@ full warp per row instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -145,27 +146,34 @@ class ScalarCSRKernel(SpMVKernel):
                 f"got {matrix.value_dtype}"
             )
 
-    def prepare_plan(self, matrix: CSRMatrix) -> SpMVPlan:
-        """Compile (or fetch from the process-global cache) the execution
-        plan this kernel needs for ``matrix``."""
+    def prepare_plan(
+        self, matrix: CSRMatrix, plan: Optional[SpMVPlan] = None
+    ) -> SpMVPlan:
+        """The execution plan this kernel runs ``matrix`` with: ``plan``
+        once checked against the matrix, or else the one the
+        process-global cache compiles (or already holds)."""
         self._check_matrix(matrix)
-        return get_plan_cache().get_or_compile(
-            matrix, self.plan_family, self.precision.accumulate.dtype
-        )
+        accum = self.precision.accumulate.dtype
+        if plan is not None:
+            validate_plan_for(plan, matrix, self.plan_family, accum)
+            return plan
+        return get_plan_cache().get_or_compile(matrix, self.plan_family, accum)
 
-    def model_timing(
+    def price(
         self,
         matrix: CSRMatrix,
         device: DeviceSpec = A100,
         threads_per_block: Optional[int] = None,
         batch: int = 1,
-    ) -> TimingEstimate:
-        """Timing-only estimate (no functional execution); ``batch == 1``
-        equals the estimate :meth:`run` attaches bit for bit.
+    ) -> KernelResult:
+        """The modelled half of :meth:`run` (counters and timing, empty
+        ``y``); a pure function of the matrix structure, the device and
+        the launch configuration.
 
         The scalar kernel has no SpMM traffic model, so a ``batch > 1``
-        estimate is refused — the sharded evaluator falls back to its
-        launch-amortization formula for kernels without one.
+        price is refused — the sharded evaluator and the SpMM path fall
+        back to their launch-amortization formula for kernels without
+        one.
         """
         self._check_matrix(matrix)
         if batch != 1:
@@ -174,37 +182,6 @@ class ScalarCSRKernel(SpMVKernel):
             )
         tpb = threads_per_block or self.default_threads_per_block
         launch = thread_per_item_launch(matrix.n_rows, tpb).validate(device)
-        counters = attach_launch_counts(
-            self._counters(matrix, device), launch, device.warp_size
-        )
-        return estimate_gpu_time(
-            device,
-            launch,
-            counters,
-            self.traits,
-            workload_profile(matrix),
-            accum_bytes=self.precision.accumulate.nbytes,
-        )
-
-    def run(
-        self,
-        matrix: CSRMatrix,
-        x: np.ndarray,
-        device: DeviceSpec = A100,
-        threads_per_block: Optional[int] = None,
-        rng: RngLike = None,
-        plan: Optional[SpMVPlan] = None,
-    ) -> KernelResult:
-        self._check_matrix(matrix)
-        tpb = threads_per_block or self.default_threads_per_block
-        launch = thread_per_item_launch(matrix.n_rows, tpb).validate(device)
-        if plan is not None:
-            validate_plan_for(
-                plan, matrix, self.plan_family, self.precision.accumulate.dtype
-            )
-            y = execute_plan(plan, x)
-        else:
-            y = scalar_csr_spmv_exact(matrix, x, self.precision.accumulate.dtype)
         counters = attach_launch_counts(
             self._counters(matrix, device), launch, device.warp_size
         )
@@ -221,10 +198,44 @@ class ScalarCSRKernel(SpMVKernel):
             kernel=self.name,
             device=device,
             launch=launch,
-            y=y.astype(np.float64),
+            y=np.empty(0),
             counters=counters,
             timing=timing,
             traits=self.traits,
             profile=profile,
             accum_bytes=self.precision.accumulate.nbytes,
         )
+
+    def model_timing(
+        self,
+        matrix: CSRMatrix,
+        device: DeviceSpec = A100,
+        threads_per_block: Optional[int] = None,
+        batch: int = 1,
+    ) -> TimingEstimate:
+        """Timing-only estimate (:meth:`price` without the result
+        wrapper); equals the estimate :meth:`run` attaches bit for bit."""
+        return self.price(matrix, device, threads_per_block, batch).timing
+
+    def evaluate(self, matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
+        """Per-call sequential arithmetic only: no plan, no counters."""
+        self._check_matrix(matrix)
+        accum = self.precision.accumulate.dtype
+        return scalar_csr_spmv_exact(matrix, x, accum).astype(np.float64)
+
+    def run(
+        self,
+        matrix: CSRMatrix,
+        x: np.ndarray,
+        device: DeviceSpec = A100,
+        threads_per_block: Optional[int] = None,
+        rng: RngLike = None,
+        plan: Optional[SpMVPlan] = None,
+    ) -> KernelResult:
+        priced = self.price(matrix, device, threads_per_block)
+        if plan is None:
+            y = self.evaluate(matrix, x)
+        else:
+            plan = self.prepare_plan(matrix, plan)
+            y = execute_plan(plan, x).astype(np.float64)
+        return replace(priced, y=y)

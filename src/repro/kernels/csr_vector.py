@@ -23,6 +23,7 @@ double in the Half/Double configuration the paper contributes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -217,30 +218,34 @@ class VectorCSRKernel(SpMVKernel):
         c.aux_instructions_rows += extra * 5.0 * WARP * matrix.n_rows
         return c
 
-    def prepare_plan(self, matrix: CSRMatrix) -> SpMVPlan:
-        """Compile (or fetch from the process-global cache) the execution
-        plan this kernel needs for ``matrix``."""
+    def prepare_plan(
+        self, matrix: CSRMatrix, plan: Optional[SpMVPlan] = None
+    ) -> SpMVPlan:
+        """The execution plan this kernel runs ``matrix`` with: ``plan``
+        once checked against the matrix, or else the one the
+        process-global cache compiles (or already holds)."""
         self._check_matrix(matrix)
-        return get_plan_cache().get_or_compile(
-            matrix, self.plan_family, self.precision.accumulate.dtype
-        )
+        accum = self.precision.accumulate.dtype
+        if plan is not None:
+            validate_plan_for(plan, matrix, self.plan_family, accum)
+            return plan
+        return get_plan_cache().get_or_compile(matrix, self.plan_family, accum)
 
-    def model_timing(
+    def price(
         self,
         matrix: CSRMatrix,
         device: DeviceSpec = A100,
         threads_per_block: Optional[int] = None,
         batch: int = 1,
-    ) -> TimingEstimate:
-        """Timing-only estimate: counters + analytic model, no functional
-        execution.
+    ) -> KernelResult:
+        """The modelled half of :meth:`run`: counters and timing of one
+        launch evaluating ``batch`` vectors, with an empty ``y``.
 
-        The sharded evaluator and the autotuner price candidate
-        execution configurations with this — timing depends only on the
-        matrix structure, the device and the launch configuration, never
-        on the weight values, so re-running the arithmetic per candidate
-        would be pure waste.  At ``batch == 1`` the estimate equals the
-        one :meth:`run` attaches bit for bit.
+        Timing depends only on the matrix structure, the device and the
+        launch configuration, never on the weight values — which is what
+        lets the sharded evaluator, the autotuner and the SpMM path price
+        once and reuse the price.  At ``batch == 1`` this is exactly
+        what :meth:`run` attaches.
         """
         self._check_matrix(matrix)
         tpb = threads_per_block or self.default_threads_per_block
@@ -251,40 +256,6 @@ class VectorCSRKernel(SpMVKernel):
             self.multi_counters(matrix, device, batch),
             launch,
             device.warp_size,
-        )
-        profile = workload_profile(matrix)
-        return estimate_gpu_time(
-            device,
-            launch,
-            counters,
-            self.traits_for(profile),
-            profile,
-            accum_bytes=self.precision.accumulate.nbytes,
-        )
-
-    def run(
-        self,
-        matrix: CSRMatrix,
-        x: np.ndarray,
-        device: DeviceSpec = A100,
-        threads_per_block: Optional[int] = None,
-        rng: RngLike = None,
-        plan: Optional[SpMVPlan] = None,
-    ) -> KernelResult:
-        self._check_matrix(matrix)
-        tpb = threads_per_block or self.default_threads_per_block
-        launch = warp_per_row_launch(matrix.n_rows, tpb, device.warp_size).validate(
-            device
-        )
-        if plan is not None:
-            validate_plan_for(
-                plan, matrix, self.plan_family, self.precision.accumulate.dtype
-            )
-            y = execute_plan(plan, x)
-        else:
-            y = warp_csr_spmv_exact(matrix, x, self.precision.accumulate.dtype)
-        counters = attach_launch_counts(
-            self._counters(matrix, device), launch, device.warp_size
         )
         profile = workload_profile(matrix)
         traits = self.traits_for(profile)
@@ -300,13 +271,48 @@ class VectorCSRKernel(SpMVKernel):
             kernel=self.name,
             device=device,
             launch=launch,
-            y=y.astype(np.float64),
+            y=np.empty(0),
             counters=counters,
             timing=timing,
             traits=traits,
             profile=profile,
             accum_bytes=self.precision.accumulate.nbytes,
         )
+
+    def model_timing(
+        self,
+        matrix: CSRMatrix,
+        device: DeviceSpec = A100,
+        threads_per_block: Optional[int] = None,
+        batch: int = 1,
+    ) -> TimingEstimate:
+        """Timing-only estimate: :meth:`price` without the result
+        wrapper.  At ``batch == 1`` it equals the estimate :meth:`run`
+        attaches bit for bit."""
+        return self.price(matrix, device, threads_per_block, batch).timing
+
+    def evaluate(self, matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
+        """Per-call warp-order arithmetic only: no plan, no counters."""
+        self._check_matrix(matrix)
+        accum = self.precision.accumulate.dtype
+        return warp_csr_spmv_exact(matrix, x, accum).astype(np.float64)
+
+    def run(
+        self,
+        matrix: CSRMatrix,
+        x: np.ndarray,
+        device: DeviceSpec = A100,
+        threads_per_block: Optional[int] = None,
+        rng: RngLike = None,
+        plan: Optional[SpMVPlan] = None,
+    ) -> KernelResult:
+        priced = self.price(matrix, device, threads_per_block)
+        if plan is None:
+            y = self.evaluate(matrix, x)
+        else:
+            plan = self.prepare_plan(matrix, plan)
+            y = execute_plan(plan, x).astype(np.float64)
+        return replace(priced, y=y)
 
 
 def HalfDoubleKernel() -> VectorCSRKernel:

@@ -66,6 +66,7 @@ LOCK_LEVELS: Dict[str, int] = {
     "serve.cache.PlanStore": 30,
     "bench.harness.LRUCache": 30,
     "kernels.plan.PlanCache": 30,
+    "kernels.batched.PricingCache": 30,
     "opt.service.engines": 30,
     "serve.service.accounting": 35,
     "opt.service.accounting": 35,

@@ -635,8 +635,10 @@ def _audit_bitwise(
 
     Each completed request is reconstructed from its seeds and evaluated
     *outside* the service — fresh format conversion, fresh kernel
-    instance, batch of one, no cache, no scheduler — and compared
-    bit-for-bit with what the service returned.  This is the paper's
+    instance, batch of one, no plan, no cache, no scheduler, and only
+    the kernel's functional arithmetic (:meth:`SpMVKernel.evaluate`, no
+    modelled counters) — and compared bit-for-bit with what the service
+    returned.  This is the paper's
     reproducibility requirement lifted to the service layer: batching,
     caching, arrival order and worker scheduling must not change a
     single bit of any dose.
@@ -658,8 +660,8 @@ def _audit_bitwise(
                 reference_matrices[key] = ref
             client, index = _parse_request_id(record.request_id)
             weights = request_weights(config, client, index, ref.n_cols)
-            standalone = make_kernel(record.precision).run(ref, weights)
-            record.bitwise = bool(np.array_equal(record.dose, standalone.y))
+            standalone = make_kernel(record.precision).evaluate(ref, weights)
+            record.bitwise = bool(np.array_equal(record.dose, standalone))
             record.dose_sha256 = artifact.dose_sha256(record.dose)
             record.dose_dtype = str(record.dose.dtype)
             record.dose = None

@@ -6,8 +6,8 @@ request was derived from.  Because all loadgen randomness flows through
 :func:`repro.util.rng.stable_seed`, that is enough to re-execute any
 recorded request from scratch: rebuild the plan matrices from their
 seeds (or Table I cases), re-derive the request's weight vector, run the
-kernel stand-alone — fresh conversion, no cache, no scheduler, batch of
-one — and compare digests.  A match proves, after the fact, that the
+kernel's arithmetic stand-alone — fresh conversion, no plan, no cache, no
+scheduler, batch of one, no modelled counters — and compare digests.  A match proves, after the fact, that the
 service's batching/caching/sharding did not change a single bit of that
 dose; ``repro-rtdose artifact replay`` turns this into a CLI audit.
 """
@@ -129,14 +129,14 @@ def replay_requests(
         weights = request_weights(
             config, int(entry["client"]), int(entry["index"]), matrix.n_cols
         )
-        result = make_kernel(precision).run(matrix, weights)
+        dose = make_kernel(precision).evaluate(matrix, weights)
         outcomes.append(
             ReplayOutcome(
                 request_id=entry["request_id"],
                 plan_id=plan_id,
                 precision=precision,
                 recorded_sha256=entry["dose_sha256"],
-                replayed_sha256=dose_sha256(result.y),
+                replayed_sha256=dose_sha256(dose),
             )
         )
     return outcomes

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import A100, V100
 from repro.gpu.memory import (
@@ -11,6 +13,7 @@ from repro.gpu.memory import (
     output_write_bytes,
     scatter_traffic,
     segmented_stream_bytes,
+    touched_sectors,
 )
 
 
@@ -118,3 +121,19 @@ class TestOutputWrite:
     def test_paper_8_bytes_per_row(self):
         n_rows = 2_970_000
         assert output_write_bytes(n_rows, 8) == pytest.approx(8 * n_rows, rel=1e-6)
+
+
+class TestTouchedSectors:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        indices=st.lists(st.integers(min_value=-50, max_value=5000),
+                         min_size=1, max_size=300),
+        elem_bytes=st.sampled_from([2, 4, 8]),
+        sector=st.sampled_from([32, 64]),
+    )
+    def test_counts_what_unique_counts(self, indices, elem_bytes, sector):
+        idx = np.asarray(indices, dtype=np.int64)
+        expected = np.unique(idx * elem_bytes // sector).size
+        assert touched_sectors(idx, elem_bytes, sector) == expected
+        assert touched_sectors(idx.astype(np.int32), elem_bytes,
+                               sector) == expected

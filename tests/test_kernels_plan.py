@@ -368,3 +368,52 @@ class TestTransposePlan:
         tplan = compile_transpose_plan(m)
         for g in tplan.plan.groups:
             assert not g.values.flags.writeable
+
+
+class TestBlockedSpMM:
+    """The SpMM executor walks each row group in blocks of rows; no
+    block split may change a bit of any column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.one_of(st.sampled_from([0, 1, 31, 32, 33, 64, 65]),
+                      st.integers(min_value=0, max_value=100)),
+            min_size=1, max_size=30,
+        ),
+        n_cols=st.integers(min_value=1, max_value=48),
+        value_dtype=st.sampled_from([np.float16, np.float32]),
+        batch=st.integers(min_value=1, max_value=9),
+        block_rows=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_blocked_columns_match_per_call(
+        self, lengths, n_cols, value_dtype, batch, block_rows, seed
+    ):
+        from unittest import mock
+
+        import repro.kernels.plan as plan_module
+
+        rng = np.random.default_rng(seed)
+        nnz = sum(lengths)
+        values = rng.standard_normal(nnz)
+        values[rng.random(nnz) < 0.2] = 0.0
+        m = CSRMatrix(
+            (len(lengths), n_cols),
+            values.astype(value_dtype),
+            rng.integers(0, n_cols, size=nnz).astype(np.int32),
+            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        )
+        accum = np.dtype(np.float64 if value_dtype == np.float16
+                         else np.float32)
+        vectors = [rng.standard_normal(n_cols) for _ in range(batch)]
+        for w in vectors:
+            w[rng.random(n_cols) < 0.2] = 0.0
+        plan = compile_plan(m, "vector", accum)
+        budget = block_rows * batch * 32 * accum.itemsize
+        with mock.patch.object(plan_module, "MULTI_BLOCK_BYTES", budget):
+            doses = execute_plan_multi(plan, vectors)
+        for b, w in enumerate(vectors):
+            np.testing.assert_array_equal(
+                doses[:, b], warp_csr_spmv_exact(m, w, accum)
+            )
